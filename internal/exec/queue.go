@@ -83,11 +83,14 @@ func (q *Queue) Submit(task func()) error {
 	if q.draining {
 		return ErrDraining
 	}
+	// Count the task before a worker can see it: a fast worker's Done
+	// must never run ahead of this Add.
+	q.inflight.Add(1)
 	select {
 	case q.tasks <- wrapped:
-		q.inflight.Add(1)
 		return nil
 	default:
+		q.inflight.Done()
 		return ErrSaturated
 	}
 }

@@ -140,3 +140,28 @@ func TestQueueNilTask(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueueSubmitCountsBeforeEnqueue is the regression test for the
+// accept/run race in Submit: the in-flight count must be raised before
+// the task becomes visible to a worker, or a fast worker's Done runs
+// first and panics with a negative WaitGroup counter. Hammering a small
+// pool with no-op tasks makes that window likely within a few thousand
+// submissions.
+func TestQueueSubmitCountsBeforeEnqueue(t *testing.T) {
+	q := NewQueue(2, 64, PoolMetrics{})
+	noop := func() {}
+	for i := 0; i < 200_000; i++ {
+		for {
+			err := q.Submit(noop)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrSaturated) {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+	}
+	if err := q.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}

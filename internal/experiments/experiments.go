@@ -60,11 +60,6 @@ type Budget struct {
 	// Exact attack outcomes are identical at any width; iteration-count
 	// cells can differ between widths but are deterministic per width.
 	DIPBatch int
-	// SatWorkers is the per-solve parallel portfolio width of each cell's
-	// attack (0 or 1: sequential; negative: GOMAXPROCS; n>1: n workers).
-	// Independent of Workers (sweep-cell parallelism); results are
-	// byte-identical at any value.
-	SatWorkers int
 	// Trace, when non-nil, receives lock and attack spans for every
 	// sweep cell plus table1.cell wrapper spans.
 	Trace *obs.Tracer
@@ -202,7 +197,6 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	aopt.Trace = budget.Trace
 	aopt.Simp = budget.Simp
 	aopt.DIPBatch = budget.DIPBatch
-	aopt.SatWorkers = budget.SatWorkers
 	aopt.Cache = budget.Cache
 	if budget.Deterministic {
 		// Deterministic cells are bounded by iteration count only; a

@@ -185,7 +185,7 @@ func Sweep(ctx context.Context, g *aig.AIG, opt Options) *Result {
 			proving, decided = false, false
 			continue
 		}
-		switch sw.prove(ctx, v, s, enc, opt, sp) {
+		switch sw.prove(v, s, enc, opt, sp) {
 		case proveUndecided:
 			decided = false
 			if ctx != nil && ctx.Err() != nil {
@@ -279,7 +279,7 @@ const (
 // counterexamples back as refinement patterns and retrying against the new
 // representative until v either merges, becomes its own representative, or
 // the budget runs out.
-func (sw *sweeper) prove(ctx context.Context, v uint32, s *sat.Solver, enc *cnf.Encoder, opt Options, sp *obs.Span) proveOutcome {
+func (sw *sweeper) prove(v uint32, s *sat.Solver, enc *cnf.Encoder, opt Options, sp *obs.Span) proveOutcome {
 	for {
 		members := sw.classes[sw.classOf[v]]
 		u := members[0]
@@ -300,15 +300,7 @@ func (sw *sweeper) prove(ctx context.Context, v uint32, s *sat.Solver, enc *cnf.
 		if sw.hProof != nil {
 			t0 = time.Now()
 		}
-		// Unbudgeted proofs ride the parallel portfolio (a conflict cap
-		// makes SolveParallel fall back to the sequential solver, so
-		// budgeted sweeps stay exactly as before).
-		var status sat.Status
-		if wk := opt.Budget.SatWorkerCount(); wk > 1 {
-			status = s.SolveParallel(ctx, wk, d)
-		} else {
-			status = s.Solve(d)
-		}
+		status := s.Solve(d)
 		if sw.hProof != nil {
 			sw.hProof.RecordDuration(time.Since(t0))
 		}

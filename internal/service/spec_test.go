@@ -1,11 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -238,15 +240,50 @@ func TestDecodeSpecStrict(t *testing.T) {
 	}
 }
 
+// FuzzDecodeSpec hardens the strict job decoder against arbitrary
+// request bodies: DecodeSpec never panics, and every spec it accepts
+// (which includes passing Validate) survives an encode/decode round trip
+// unchanged. The corpus is seeded with the golden job specs.
+func FuzzDecodeSpec(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "spec_*.json"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no spec goldens to seed the corpus (err %v)", err)
+	}
+	for _, path := range seeds {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, jerr := DecodeSpec(bytes.NewReader(body))
+		if jerr != nil {
+			return
+		}
+		wire, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not re-encode: %v", err)
+		}
+		again, jerr := DecodeSpec(bytes.NewReader(wire))
+		if jerr != nil {
+			t.Fatalf("re-encoded spec rejected: %v\n%s", jerr, wire)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("round trip changed the spec:\n first:  %+v\n second: %+v", spec, again)
+		}
+	})
+}
+
 // TestBudgetConvertRoundTrip proves the wire budget and exec.Budget are
-// the same vocabulary: converting there and back loses nothing.
+// the same vocabulary: converting there and back loses nothing except
+// the no-op sat_workers field.
 func TestBudgetConvertRoundTrip(t *testing.T) {
 	for _, b := range []Budget{
 		{},
 		{TimeoutMS: 1500},
 		{MaxConflicts: 1 << 20},
-		{SatWorkers: 8},
-		{TimeoutMS: 250, MaxConflicts: 4096, SatWorkers: 2},
+		{TimeoutMS: 250, MaxConflicts: 4096},
 	} {
 		if got := BudgetFrom(b.Exec()); got != b {
 			t.Errorf("round trip %+v -> %+v", b, got)
@@ -258,13 +295,12 @@ func TestBudgetConvertRoundTrip(t *testing.T) {
 // a cap are lowered, absent requests inherit the cap, and a zero limit
 // never touches the budget.
 func TestTenantLimitsClamp(t *testing.T) {
-	tl := TenantLimits{MaxTimeoutMS: 30_000, MaxConflicts: 1000, MaxSatWorkers: 4}
+	tl := TenantLimits{MaxTimeoutMS: 30_000, MaxConflicts: 1000}
 	cases := []struct{ in, want Budget }{
-		{Budget{}, Budget{TimeoutMS: 30_000, MaxConflicts: 1000, SatWorkers: 4}},
-		{Budget{TimeoutMS: 10_000}, Budget{TimeoutMS: 10_000, MaxConflicts: 1000, SatWorkers: 4}},
-		{Budget{TimeoutMS: 60_000}, Budget{TimeoutMS: 30_000, MaxConflicts: 1000, SatWorkers: 4}},
-		{Budget{MaxConflicts: 10, SatWorkers: 2}, Budget{TimeoutMS: 30_000, MaxConflicts: 10, SatWorkers: 2}},
-		{Budget{SatWorkers: 9}, Budget{TimeoutMS: 30_000, MaxConflicts: 1000, SatWorkers: 4}},
+		{Budget{}, Budget{TimeoutMS: 30_000, MaxConflicts: 1000}},
+		{Budget{TimeoutMS: 10_000}, Budget{TimeoutMS: 10_000, MaxConflicts: 1000}},
+		{Budget{TimeoutMS: 60_000}, Budget{TimeoutMS: 30_000, MaxConflicts: 1000}},
+		{Budget{MaxConflicts: 10}, Budget{TimeoutMS: 30_000, MaxConflicts: 10}},
 	}
 	for _, tc := range cases {
 		if got := tl.Clamp(tc.in); got != tc.want {

@@ -1,6 +1,7 @@
 package obfuslock
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"obfuslock/internal/service"
 )
 
 // jobBench returns the .bench text of a small benchmark by index.
@@ -150,6 +153,58 @@ func TestRunJobCECCountSample(t *testing.T) {
 			t.Fatalf("sample returned no skewness: %+v", res)
 		}
 	})
+}
+
+// TestRunJobSatWorkersNoEffect pins the compatibility contract of the
+// retired sat_workers budget field: obfuslock-job/v1 still decodes it,
+// and a job that sets it returns result bytes identical to the same job
+// without it, for every kind whose runner reads the budget.
+func TestRunJobSatWorkersNoEffect(t *testing.T) {
+	const sixInputOr = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\nOUTPUT(y)\n" +
+		"p = AND(a, b)\nq = AND(c, d)\nr = AND(e, f)\ny = OR(p, q, r)\n"
+	ctx := context.Background()
+	bench := jobBench(t, 3)
+	locked, err := RunJob(ctx, JobSpec{
+		Schema: JobSchemaVersion, Kind: "lock", Circuit: bench,
+		Scheme: "rll", SchemeOptions: &SchemeOptions{KeyBits: 8, Seed: 4},
+	}, JobRuntime{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []JobSpec{
+		{Schema: JobSchemaVersion, Kind: "attack", Circuit: locked.Locked, Oracle: bench,
+			Attack: "sat", AttackOptions: &JobAttackOptions{MaxIterations: 40, Seed: 4}},
+		{Schema: JobSchemaVersion, Kind: "cec", Circuit: bench, Oracle: bench, Seed: 4},
+		{Schema: JobSchemaVersion, Kind: "count", Circuit: sixInputOr, Output: 0, Seed: 4},
+	} {
+		t.Run(spec.Kind, func(t *testing.T) {
+			var out [2][]byte
+			for i, budget := range []JobBudget{{MaxConflicts: 100_000}, {MaxConflicts: 100_000, SatWorkers: 4}} {
+				spec.Budget = &budget
+				wire, err := json.Marshal(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decoded, jerr := service.DecodeSpec(bytes.NewReader(wire))
+				if jerr != nil {
+					t.Fatalf("decode %s: %v", wire, jerr)
+				}
+				if decoded.Budget.SatWorkers != budget.SatWorkers {
+					t.Fatalf("sat_workers decoded as %d, want %d", decoded.Budget.SatWorkers, budget.SatWorkers)
+				}
+				res, err := RunJob(ctx, decoded, JobRuntime{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out[i], err = json.Marshal(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out[0], out[1]) {
+				t.Errorf("sat_workers changed the result:\n without: %s\n with:    %s", out[0], out[1])
+			}
+		})
+	}
 }
 
 // TestRunJobErrorPaths maps runner failures onto structured job errors:
