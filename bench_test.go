@@ -445,36 +445,30 @@ func BenchmarkTheoryLemma1(b *testing.B) {
 	}
 }
 
-// BenchmarkFraigCEC compares the monolithic-miter equivalence check with
-// the swept (fraig) mode on an obfuscated/rewritten pair from the
-// experiment suite: the two sides share most of their logic, so sweeping
-// collapses the combined graph before the final solve. The recorded
-// speedup is the tentpole claim of the SAT-sweeping engine.
+// BenchmarkFraigCEC measures the (always swept) equivalence check on an
+// obfuscated/rewritten pair from the experiment suite: the two sides share
+// most of their logic, so sweeping collapses the combined graph before the
+// final solve.
 func BenchmarkFraigCEC(b *testing.B) {
 	c := suiteByName("max-s")[0].Build()
 	rw := rewrite.Balance(rewrite.FunctionalRewrite(c, rewrite.ObfuscationOptions(5)))
-	for _, mode := range []string{"monolithic", "swept"} {
-		b.Run(mode, func(b *testing.B) {
-			opt := cec.DefaultOptions()
-			if mode == "swept" {
-				opt = cec.SweepOptions()
+	b.Run("swept", func(b *testing.B) {
+		opt := cec.DefaultOptions()
+		opt.SimWords = 0 // no pre-filter: measure the SAT path
+		var solver sat.Stats
+		m0 := mallocCount()
+		for i := 0; i < b.N; i++ {
+			r, err := cec.Check(context.Background(), c, rw, opt)
+			if err != nil {
+				b.Fatal(err)
 			}
-			opt.SimWords = 0 // no pre-filter: measure the SAT paths
-			var solver sat.Stats
-			m0 := mallocCount()
-			for i := 0; i < b.N; i++ {
-				r, err := cec.Check(context.Background(), c, rw, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !r.Decided || !r.Equivalent {
-					b.Fatal("rewritten pair must be proven equivalent")
-				}
-				solver = solver.Add(r.SolverStats)
+			if !r.Decided || !r.Equivalent {
+				b.Fatal("rewritten pair must be proven equivalent")
 			}
-			recordBench(b, solver, mallocCount()-m0)
-		})
-	}
+			solver = solver.Add(r.SolverStats)
+		}
+		recordBench(b, solver, mallocCount()-m0)
+	})
 }
 
 // BenchmarkSATAttackBatched measures the batched-DIP-pipeline tentpole

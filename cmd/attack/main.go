@@ -35,9 +35,8 @@
 // spans/events — dumped to stderr on SIGQUIT, panic, or when a single
 // attack exhausts its budget without a key.
 //
-// The equivalence checks inside the removal and Valkyrie attacks run
-// SAT-swept by default (-sweep, -sweep-words; see DESIGN.md "Equivalence
-// checking & SAT sweeping"); -sweep=false forces the monolithic miter.
+// The equivalence checks inside the removal and Valkyrie attacks are
+// SAT-swept (see DESIGN.md "Equivalence checking & SAT sweeping").
 //
 // Exit status is non-zero when a key-recovery attack returns no key, so
 // scripted resilience sweeps can branch on the result.
@@ -86,8 +85,6 @@ func main() {
 	skews := flag.String("skews", "10,20,30", "comma-separated skewness levels for experiment modes")
 	workers := flag.Int("workers", 0, "experiment parallelism (0: GOMAXPROCS)")
 	det := flag.Bool("det", false, "deterministic sweep: no wall-clock cells or timeouts; output is byte-reproducible")
-	sweepCEC := flag.Bool("sweep", true, "use SAT sweeping (fraig) for the equivalence checks of removal/valkyrie")
-	sweepWords := flag.Int("sweep-words", 8, "64-pattern signature words seeding the sweep's equivalence classes")
 
 	var solver cliflags.Solver
 	var cacheFlags cliflags.Cache
@@ -270,7 +267,7 @@ func main() {
 		}
 	case "removal":
 		sps := attacks.SPS(l, 256, *seed, 10)
-		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt, cache))
+		r := attacks.Removal(ctx, l, orig, sps.Candidates, cecOptions(*seed, tracer, sopt, cache))
 		fmt.Printf("removal: success=%v tried=%d runtime=%v\n", r.Success, r.Tried, r.Runtime)
 	case "bypass":
 		wrong := make([]bool, l.KeyBits)
@@ -278,7 +275,7 @@ func main() {
 		fmt.Printf("bypass: success=%v patterns=%d exhausted=%v runtime=%v\n",
 			r.Success, r.Patterns, r.Exhausted, r.Runtime)
 	case "valkyrie":
-		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*sweepCEC, *sweepWords, *seed, tracer, sopt, cache))
+		r := attacks.Valkyrie(ctx, l, orig, 8, 128, *seed, cecOptions(*seed, tracer, sopt, cache))
 		fmt.Printf("valkyrie: found-pair=%v restore-only=%v pairs-tried=%d runtime=%v\n",
 			r.FoundPair, r.RestoreOnly, r.PairsTried, r.Runtime)
 	case "spi":
@@ -295,12 +292,8 @@ func main() {
 
 // cecOptions builds the equivalence-check configuration for the attacks
 // that prove candidate modifications equivalent to the oracle.
-func cecOptions(sweep bool, sweepWords int, seed int64, tracer *obs.Tracer, sopt simp.Options, cache *memo.Cache) cec.Options {
+func cecOptions(seed int64, tracer *obs.Tracer, sopt simp.Options, cache *memo.Cache) cec.Options {
 	opt := cec.DefaultOptions()
-	if sweep {
-		opt = cec.SweepOptions()
-		opt.SweepWords = sweepWords
-	}
 	opt.Seed = seed
 	opt.Trace = tracer
 	opt.Simp = sopt

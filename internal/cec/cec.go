@@ -1,9 +1,9 @@
 // Package cec implements SAT-based combinational equivalence checking with
 // a random-simulation pre-filter, plus node-level equivalence queries used
-// by the structural attacks and the critical-node elimination check. The
-// sweeping mode (Options.Sweep) fraigs the combined miter graph — merging
-// the internally equivalent logic the two sides share — before the final,
-// much smaller, miter solve.
+// by the structural attacks and the critical-node elimination check. Check
+// always fraigs the combined miter graph — merging the internally
+// equivalent logic the two sides share — before the final, much smaller,
+// miter solve.
 package cec
 
 import (
@@ -38,8 +38,8 @@ type Result struct {
 	Decided bool
 	// Runtime of the check.
 	Runtime time.Duration
-	// SolverStats accumulates the SAT work of the check (in sweeping
-	// mode: the sweep's prover plus the final miter solver).
+	// SolverStats accumulates the SAT work of the check: the sweep's
+	// prover plus the final miter solver.
 	SolverStats sat.Stats
 }
 
@@ -49,17 +49,9 @@ type Options struct {
 	SimWords int
 	// Seed for the simulation pre-filter and the sweeping signatures.
 	Seed int64
-	// Budget bounds the SAT effort (zero value: unlimited). In sweeping
-	// mode the conflict cap applies per sweep query and to the final
-	// miter solve.
+	// Budget bounds the SAT effort (zero value: unlimited). The conflict
+	// cap applies per sweep query and to the final miter solve.
 	Budget exec.Budget
-	// Sweep enables SAT sweeping: the two circuits are combined over
-	// shared inputs, fraiged (internal/fraig), and only output pairs the
-	// sweep could not merge go to the final miter solve.
-	Sweep bool
-	// SweepWords of 64 random patterns seed the sweep's equivalence
-	// classes (0: 8). Only used when Sweep is set.
-	SweepWords int
 	// Simp controls CNF preprocessing before the miter solve (zero
 	// value: enabled; simp.Off() disables).
 	Simp simp.Options
@@ -97,17 +89,12 @@ func DefaultOptions() Options {
 	return Options{SimWords: 4, Seed: 1}
 }
 
-// SweepOptions is DefaultOptions with SAT sweeping enabled.
-func SweepOptions() Options {
-	opt := DefaultOptions()
-	opt.Sweep = true
-	opt.SweepWords = 8
-	return opt
-}
-
 // Check decides whether two circuits with identical interfaces are
-// functionally equivalent. Cancelling ctx (or exhausting the budget)
-// yields an undecided result.
+// functionally equivalent: after the simulation pre-filter, the two
+// circuits are combined over shared inputs and fraiged (internal/fraig),
+// and only output pairs the sweep could not merge go to a final miter
+// solve. Cancelling ctx (or exhausting the budget) yields an undecided
+// result.
 func Check(ctx context.Context, a, b *aig.AIG, opt Options) (Result, error) {
 	start := time.Now()
 	if a.NumInputs() != b.NumInputs() || a.NumOutputs() != b.NumOutputs() {
@@ -116,8 +103,7 @@ func Check(ctx context.Context, a, b *aig.AIG, opt Options) (Result, error) {
 	}
 	sp := opt.Trace.Span("cec.check",
 		obs.Int("nodes_a", int64(a.NumNodes())),
-		obs.Int("nodes_b", int64(b.NumNodes())),
-		obs.Bool("sweep", opt.Sweep))
+		obs.Int("nodes_b", int64(b.NumNodes())))
 	r, err := checkCached(ctx, a, b, opt, sp)
 	r.Runtime = time.Since(start)
 	sp.End(
@@ -142,9 +128,9 @@ func checkCached(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) 
 	if !opt.Cache.Enabled() || opt.Budget.Timeout != 0 {
 		return check(ctx, a, b, opt, sp)
 	}
-	key := fmt.Sprintf("cec.check|%s|%s|sw=%d|seed=%d|conf=%d|sweep=%t.%d|simp=%s",
+	key := fmt.Sprintf("cec.check|%s|%s|sw=%d|seed=%d|conf=%d|simp=%s",
 		a.Fingerprint(), b.Fingerprint(), opt.SimWords, opt.Seed,
-		opt.Budget.Conflicts, opt.Sweep, opt.SweepWords, simpSig(opt.Simp))
+		opt.Budget.Conflicts, simpSig(opt.Simp))
 	var computed *Result
 	var computeErr error
 	v, err := memo.Do(opt.Cache, key, func() (checkVerdict, error) {
@@ -203,38 +189,10 @@ func check(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Resul
 			}
 		}
 	}
-	if opt.Sweep {
-		return checkSwept(ctx, a, b, opt, sp)
-	}
-	s := sat.New()
-	s.SetBudget(opt.Budget.ConflictCap())
-	s.SetContext(ctx)
-	s.SetTelemetry(opt.Trace.Registry())
-	inputs, diff := cnf.Miter(s, a, b)
-	s.AddClause(diff)
-	// Preprocess the whole miter CNF: the shared-input interface is
-	// frozen by the encoder, everything internal may be eliminated.
-	if !simp.Apply(s, opt.Simp, opt.Trace) {
-		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}, nil
-	}
-	switch timedSolve(s, opt.Trace.Histogram(MetricProofLatency)) {
-	case sat.Unsat:
-		return Result{Equivalent: true, Decided: true, SolverStats: s.Stats()}, nil
-	case sat.Sat:
-		cex := make([]bool, len(inputs))
-		for i, l := range inputs {
-			cex[i] = s.ModelValue(l)
-		}
-		return Result{Equivalent: false, Counterexample: cex, Decided: true, SolverStats: s.Stats()}, nil
-	}
-	return Result{SolverStats: s.Stats()}, nil
-}
-
-// checkSwept fraigs the combined graph of a and b over shared inputs; if
-// the sweep merges every output pair the circuits are proven equivalent
-// without a miter at all, otherwise only the surviving pairs feed a final
-// (reduced) miter solve.
-func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (Result, error) {
+	// Fraig the combined graph of a and b over shared inputs. If the sweep
+	// merges every output pair the circuits are proven equivalent without
+	// a miter at all; otherwise only the surviving pairs feed a final
+	// (reduced) miter solve.
 	comb := aig.New()
 	piMap := make([]aig.Lit, a.NumInputs())
 	for i := range piMap {
@@ -249,7 +207,6 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 		comb.AddOutput(o, "b:"+b.OutputName(i))
 	}
 	fr := fraig.Sweep(ctx, comb, fraig.Options{
-		Words:  opt.SweepWords,
 		Seed:   opt.Seed,
 		Budget: opt.Budget,
 		Simp:   opt.Simp,
@@ -305,28 +262,6 @@ func checkSwept(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) (
 		return Result{Equivalent: false, Counterexample: cex, Decided: true, SolverStats: stats()}, nil
 	}
 	return Result{SolverStats: stats()}, nil
-}
-
-// LitsEquivalent decides whether two literals of the same graph compute the
-// same function of the primary inputs (up to the given conflict budget,
-// with <0 meaning unlimited; Unknown maps to decided=false).
-func LitsEquivalent(ctx context.Context, g *aig.AIG, x, y aig.Lit, budget int64) (equal, decided bool) {
-	s := sat.New()
-	e := cnf.NewEncoder(g, s)
-	lits := e.Encode(x, y)
-	if budget >= 0 {
-		s.SetBudget(budget)
-	}
-	s.SetContext(ctx)
-	d := cnf.XorLit(s, lits[0], lits[1])
-	s.AddClause(d)
-	switch s.Solve() {
-	case sat.Unsat:
-		return true, true
-	case sat.Sat:
-		return false, true
-	}
-	return false, false
 }
 
 // FindOptions configures FindEquivalentNode.

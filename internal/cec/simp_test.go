@@ -50,34 +50,28 @@ func TestCheckSimpOnOffAgree(t *testing.T) {
 		} else {
 			b = randSimpCircuit(rng, a.NumInputs(), 15+rng.Intn(30), 2) // almost surely different
 		}
-		for _, sweep := range []bool{false, true} {
-			optOn := DefaultOptions()
-			if sweep {
-				optOn = SweepOptions()
-			}
-			optOn.Seed = int64(trial)
-			optOff := optOn
-			optOff.Simp = simp.Off()
-			rOn, err1 := Check(context.Background(), a, b, optOn)
-			rOff, err2 := Check(context.Background(), a, b, optOff)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("trial %d err: %v %v", trial, err1, err2)
-			}
-			if rOn.Equivalent != rOff.Equivalent {
-				t.Fatalf("trial %d sweep=%v: simp=%v nosimp=%v",
-					trial, sweep, rOn.Equivalent, rOff.Equivalent)
-			}
-			if !rOn.Equivalent && rOn.Counterexample != nil {
-				ya, yb := a.Eval(rOn.Counterexample), b.Eval(rOn.Counterexample)
-				same := true
-				for i := range ya {
-					if ya[i] != yb[i] {
-						same = false
-					}
+		optOn := DefaultOptions()
+		optOn.Seed = int64(trial)
+		optOff := optOn
+		optOff.Simp = simp.Off()
+		rOn, err1 := Check(context.Background(), a, b, optOn)
+		rOff, err2 := Check(context.Background(), a, b, optOff)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("trial %d err: %v %v", trial, err1, err2)
+		}
+		if rOn.Equivalent != rOff.Equivalent {
+			t.Fatalf("trial %d: simp=%v nosimp=%v", trial, rOn.Equivalent, rOff.Equivalent)
+		}
+		if !rOn.Equivalent && rOn.Counterexample != nil {
+			ya, yb := a.Eval(rOn.Counterexample), b.Eval(rOn.Counterexample)
+			same := true
+			for i := range ya {
+				if ya[i] != yb[i] {
+					same = false
 				}
-				if same {
-					t.Fatalf("trial %d sweep=%v: counterexample does not distinguish", trial, sweep)
-				}
+			}
+			if same {
+				t.Fatalf("trial %d: counterexample does not distinguish", trial)
 			}
 		}
 	}

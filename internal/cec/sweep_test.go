@@ -47,8 +47,8 @@ func randAIG(seed int64, nin, nnodes int) *aig.AIG {
 
 // mutate returns a copy of g with a random single change that may or may
 // not alter the function (an internal fanin flip can land in a don't-care
-// cone); the cross-check below only asserts that the swept and plain
-// checkers agree, whatever the ground truth.
+// cone); the cross-check below compares the checker with the ground truth
+// from exhaustive evaluation, whatever it is.
 func mutate(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	ng := g.Copy()
 	o := rng.Intn(ng.NumOutputs())
@@ -62,46 +62,58 @@ func mutate(g *aig.AIG, rng *rand.Rand) *aig.AIG {
 	return ng
 }
 
-// TestSweptCheckCrossCheck runs ~100 seeded random pairs — equivalent by
-// rewriting, and mutated likely-inequivalent — through both the plain
-// miter path and the swept path and requires identical verdicts.
+// equivalentByEval is the independent reference: exhaustive evaluation
+// over every input pattern, sharing no code with cnf, sat or fraig.
+func equivalentByEval(a, b *aig.AIG) bool {
+	pat := make([]bool, a.NumInputs())
+	for m := 0; m < 1<<len(pat); m++ {
+		for i := range pat {
+			pat[i] = m>>i&1 == 1
+		}
+		va, vb := a.Eval(pat), b.Eval(pat)
+		for o := range va {
+			if va[o] != vb[o] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestSweptCheckCrossCheck runs ~100 seeded random 5-input pairs —
+// equivalent by rewriting, and mutated likely-inequivalent — through Check
+// and requires every verdict to match exhaustive evaluation over all 2^5
+// input patterns.
 func TestSweptCheckCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 100; i++ {
 		a := randAIG(int64(i), 5, 30)
 		var b *aig.AIG
-		equivalentByConstruction := i%2 == 0
-		if equivalentByConstruction {
+		if i%2 == 0 {
 			ropt := rewrite.ObfuscationOptions(int64(i) + 1000)
 			b = rewrite.Balance(rewrite.FunctionalRewrite(a, ropt))
 		} else {
 			b = mutate(a, rng)
 		}
+		want := equivalentByEval(a, b)
+		if i%2 == 0 && !want {
+			t.Fatalf("pair %d: rewriting changed the function", i)
+		}
 
-		plainOpt := DefaultOptions()
-		plain, err := Check(context.Background(), a, b, plainOpt)
+		r, err := Check(context.Background(), a, b, DefaultOptions())
 		if err != nil {
-			t.Fatalf("pair %d: plain check: %v", i, err)
+			t.Fatalf("pair %d: %v", i, err)
 		}
-		sweptOpt := SweepOptions()
-		swept, err := Check(context.Background(), a, b, sweptOpt)
-		if err != nil {
-			t.Fatalf("pair %d: swept check: %v", i, err)
+		if !r.Decided {
+			t.Fatalf("pair %d: undecided without a budget", i)
 		}
-		if !plain.Decided || !swept.Decided {
-			t.Fatalf("pair %d: undecided without a budget (plain=%v swept=%v)",
-				i, plain.Decided, swept.Decided)
+		if r.Equivalent != want {
+			t.Fatalf("pair %d: Check says %v, exhaustive evaluation says %v",
+				i, r.Equivalent, want)
 		}
-		if plain.Equivalent != swept.Equivalent {
-			t.Fatalf("pair %d: plain says %v, swept says %v",
-				i, plain.Equivalent, swept.Equivalent)
-		}
-		if equivalentByConstruction && !swept.Equivalent {
-			t.Fatalf("pair %d: rewritten pair reported inequivalent", i)
-		}
-		if !swept.Equivalent {
+		if !r.Equivalent {
 			// The counterexample must actually distinguish the circuits.
-			va, vb := a.Eval(swept.Counterexample), b.Eval(swept.Counterexample)
+			va, vb := a.Eval(r.Counterexample), b.Eval(r.Counterexample)
 			differs := false
 			for o := range va {
 				if va[o] != vb[o] {
@@ -109,7 +121,7 @@ func TestSweptCheckCrossCheck(t *testing.T) {
 				}
 			}
 			if !differs {
-				t.Fatalf("pair %d: swept counterexample does not distinguish", i)
+				t.Fatalf("pair %d: counterexample does not distinguish", i)
 			}
 		}
 	}
@@ -123,21 +135,16 @@ func TestCheckTraced(t *testing.T) {
 	a := randAIG(1, 5, 30)
 	ropt := rewrite.ObfuscationOptions(2)
 	b := rewrite.FunctionalRewrite(a, ropt)
-	for _, sweep := range []bool{false, true} {
-		opt := DefaultOptions()
-		if sweep {
-			opt = SweepOptions()
-		}
-		opt.Trace = tr
-		if _, err := Check(context.Background(), a, b, opt); err != nil {
-			t.Fatal(err)
-		}
+	opt := DefaultOptions()
+	opt.Trace = tr
+	if _, err := Check(context.Background(), a, b, opt); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := col.SpanNamed("cec.check"); !ok {
 		t.Fatal("no cec.check span recorded")
 	}
 	if _, ok := col.SpanNamed("fraig.sweep"); !ok {
-		t.Fatal("swept check did not record a fraig.sweep span")
+		t.Fatal("check did not record a fraig.sweep span")
 	}
 
 	// FindEquivalentNode must trace too.

@@ -567,7 +567,7 @@ func Structural(ctx context.Context, suite []netlistgen.Benchmark, skewBits floa
 		fopt.Cache = cache
 		_, survives := attacks.CriticalNodeSurvives(ctx, l, c, c.Output(res.Report.ProtectedOutput), fopt)
 		row.CriticalEliminated = !survives
-		copt := cec.SweepOptions()
+		copt := cec.DefaultOptions()
 		copt.Budget = exec.WithConflicts(50000)
 		copt.Cache = cache
 		vr := attacks.Valkyrie(ctx, l, c, 6, 64, bseed, copt)

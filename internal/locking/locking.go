@@ -212,7 +212,7 @@ func (l *Locked) VerifyKeyContext(ctx context.Context, orig *aig.AIG, key []bool
 }
 
 // VerifyKeyWith is VerifyKeyContext under explicit equivalence-check
-// options — e.g. SAT sweeping (cec.SweepOptions), budgets or tracing.
+// options — e.g. budgets, simplification, caching or tracing.
 func (l *Locked) VerifyKeyWith(ctx context.Context, orig *aig.AIG, key []bool, opt cec.Options) (bool, error) {
 	r, err := cec.Check(ctx, orig, l.ApplyKey(key), opt)
 	if err != nil {

@@ -66,17 +66,23 @@ func TestCutEnumerationSound(t *testing.T) {
 				}
 				t.Fatalf("CutTruth failed for cut %v of node %d", cut.Leaves, v)
 			}
-			// Validate the truth table against direct evaluation: build a
-			// probe comparing v with the cover of tt over leaves.
+			// Validate the truth table against direct evaluation: rebuild
+			// the cover of tt over the leaves and compare it with v on
+			// every input pattern.
 			probe := g.Copy()
 			leafLits := make([]aig.Lit, len(cut.Leaves))
 			for i, lf := range cut.Leaves {
 				leafLits[i] = aig.MkLit(lf, false)
 			}
 			rebuilt := BuildFromTruth(probe, tt, leafLits)
-			eq, dec := cec.LitsEquivalent(context.Background(), probe, aig.MkLit(v, false), rebuilt, -1)
-			if !dec || !eq {
-				t.Fatalf("cut truth of node %d over %v mismatches", v, cut.Leaves)
+			pat := make([]bool, probe.NumInputs())
+			for m := 0; m < 1<<len(pat); m++ {
+				for i := range pat {
+					pat[i] = m>>i&1 == 1
+				}
+				if vals := probe.EvalLits(pat, aig.MkLit(v, false), rebuilt); vals[0] != vals[1] {
+					t.Fatalf("cut truth of node %d over %v mismatches at pattern %d", v, cut.Leaves, m)
+				}
 			}
 		}
 	}

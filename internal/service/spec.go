@@ -129,7 +129,8 @@ type JobSpec struct {
 	Budget *Budget `json:"budget,omitempty"`
 	// Output is the output index for count/sample jobs.
 	Output int `json:"output,omitempty"`
-	// Sweep selects SAT sweeping for cec jobs (nil: enabled).
+	// Sweep is accepted, no effect: every cec job is SAT-swept. The
+	// field stays so obfuslock-job/v1 specs that set it keep decoding.
 	Sweep *bool `json:"sweep,omitempty"`
 	// Seed drives the randomized parts of cec/count/sample jobs.
 	Seed int64 `json:"seed,omitempty"`

@@ -232,10 +232,7 @@ func runCECJob(ctx context.Context, spec JobSpec, rt JobRuntime, budget JobBudge
 	if jerr != nil {
 		return res, jerr
 	}
-	opt := SweepCECOptions()
-	if spec.Sweep != nil && !*spec.Sweep {
-		opt = DefaultCECOptions()
-	}
+	opt := DefaultCECOptions()
 	if spec.Seed != 0 {
 		opt.Seed = spec.Seed
 	}

@@ -155,11 +155,12 @@ func TestRunJobCECCountSample(t *testing.T) {
 	})
 }
 
-// TestRunJobSatWorkersNoEffect pins the compatibility contract of the
-// retired sat_workers budget field: obfuslock-job/v1 still decodes it,
-// and a job that sets it returns result bytes identical to the same job
-// without it, for every kind whose runner reads the budget.
-func TestRunJobSatWorkersNoEffect(t *testing.T) {
+// TestRunJobRetiredFieldsNoEffect pins the compatibility contract of the
+// retired obfuslock-job/v1 fields: budget.sat_workers (every solve is
+// sequential) and sweep (every cec job is SAT-swept). The strict decoder
+// still accepts each field and keeps its value, and a job that sets it
+// returns result bytes identical to the same job without it.
+func TestRunJobRetiredFieldsNoEffect(t *testing.T) {
 	const sixInputOr = "INPUT(a)\nINPUT(b)\nINPUT(c)\nINPUT(d)\nINPUT(e)\nINPUT(f)\nOUTPUT(y)\n" +
 		"p = AND(a, b)\nq = AND(c, d)\nr = AND(e, f)\ny = OR(p, q, r)\n"
 	ctx := context.Background()
@@ -171,16 +172,31 @@ func TestRunJobSatWorkersNoEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, spec := range []JobSpec{
-		{Schema: JobSchemaVersion, Kind: "attack", Circuit: locked.Locked, Oracle: bench,
-			Attack: "sat", AttackOptions: &JobAttackOptions{MaxIterations: 40, Seed: 4}},
-		{Schema: JobSchemaVersion, Kind: "cec", Circuit: bench, Oracle: bench, Seed: 4},
-		{Schema: JobSchemaVersion, Kind: "count", Circuit: sixInputOr, Output: 0, Seed: 4},
+	attack := JobSpec{Schema: JobSchemaVersion, Kind: "attack", Circuit: locked.Locked, Oracle: bench,
+		Attack: "sat", AttackOptions: &JobAttackOptions{MaxIterations: 40, Seed: 4}}
+	cecSpec := JobSpec{Schema: JobSchemaVersion, Kind: "cec", Circuit: bench, Oracle: bench, Seed: 4}
+	count := JobSpec{Schema: JobSchemaVersion, Kind: "count", Circuit: sixInputOr, Output: 0, Seed: 4}
+	satWorkers := func(s *JobSpec) { s.Budget.SatWorkers = 4 }
+	no := false
+	noSweep := func(s *JobSpec) { s.Sweep = &no }
+	for _, tc := range []struct {
+		name   string
+		spec   JobSpec
+		retire func(*JobSpec)
+	}{
+		{"sat_workers/attack", attack, satWorkers},
+		{"sat_workers/cec", cecSpec, satWorkers},
+		{"sat_workers/count", count, satWorkers},
+		{"sweep/cec", cecSpec, noSweep},
 	} {
-		t.Run(spec.Kind, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			var out [2][]byte
-			for i, budget := range []JobBudget{{MaxConflicts: 100_000}, {MaxConflicts: 100_000, SatWorkers: 4}} {
-				spec.Budget = &budget
+			for i := range out {
+				spec := tc.spec
+				spec.Budget = &JobBudget{MaxConflicts: 100_000}
+				if i == 1 {
+					tc.retire(&spec)
+				}
 				wire, err := json.Marshal(spec)
 				if err != nil {
 					t.Fatal(err)
@@ -189,8 +205,8 @@ func TestRunJobSatWorkersNoEffect(t *testing.T) {
 				if jerr != nil {
 					t.Fatalf("decode %s: %v", wire, jerr)
 				}
-				if decoded.Budget.SatWorkers != budget.SatWorkers {
-					t.Fatalf("sat_workers decoded as %d, want %d", decoded.Budget.SatWorkers, budget.SatWorkers)
+				if rewire, err := json.Marshal(decoded); err != nil || !bytes.Equal(rewire, wire) {
+					t.Fatalf("decoded spec lost a field:\n sent:    %s\n decoded: %s (%v)", wire, rewire, err)
 				}
 				res, err := RunJob(ctx, decoded, JobRuntime{})
 				if err != nil {
@@ -201,7 +217,7 @@ func TestRunJobSatWorkersNoEffect(t *testing.T) {
 				}
 			}
 			if !bytes.Equal(out[0], out[1]) {
-				t.Errorf("sat_workers changed the result:\n without: %s\n with:    %s", out[0], out[1])
+				t.Errorf("retired field changed the result:\n without: %s\n with:    %s", out[0], out[1])
 			}
 		})
 	}

@@ -104,19 +104,22 @@ func Equivalent(a, b *Circuit) (bool, error) {
 }
 
 // CECOptions configures an equivalence check (simulation pre-filter, SAT
-// budget, SAT sweeping, tracing). See internal/cec.Options.
+// budget, tracing). See internal/cec.Options.
 type CECOptions = cec.Options
 
 // CECResult reports an equivalence check.
 type CECResult = cec.Result
 
-// DefaultCECOptions returns the plain (monolithic-miter) configuration.
-func DefaultCECOptions() CECOptions { return cec.DefaultOptions() }
-
-// SweepCECOptions returns a configuration with SAT sweeping enabled: the
+// DefaultCECOptions returns the standard configuration: a small
+// simulation pre-filter and no SAT budget. Every check is SAT-swept: the
 // combined graph is fraiged (internal/fraig) so the shared logic of the
 // two sides collapses before the final, much smaller, miter solve.
-func SweepCECOptions() CECOptions { return cec.SweepOptions() }
+func DefaultCECOptions() CECOptions { return cec.DefaultOptions() }
+
+// SweepCECOptions returns DefaultCECOptions.
+//
+// Deprecated: every equivalence check sweeps; use DefaultCECOptions.
+func SweepCECOptions() CECOptions { return DefaultCECOptions() }
 
 // CheckEquivalent proves or refutes functional equivalence under explicit
 // options and a cancellation context.

@@ -107,3 +107,31 @@ func TestBenchmarksCatalog(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyDecidesRLLOnB14 pins the equivalence checker on a hard pair: a
+// 16-bit RLL lock of b14-s. The stored key must be proven correct, and a
+// one-bit-flipped key refuted, within a 100k-conflict budget. A flat miter
+// of the two circuits exhausts that budget undecided; the swept check
+// merges the shared logic first and needs a few dozen conflicts.
+func TestVerifyDecidesRLLOnB14(t *testing.T) {
+	ctx := context.Background()
+	c := suiteByName("b14-s")[0].Build()
+	l, err := LockWith(ctx, "rll", c, SchemeOptions{KeyBits: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultCECOptions()
+	opt.Budget.Conflicts = 100_000
+	if err := l.VerifyWith(ctx, c, opt); err != nil {
+		t.Fatalf("stored key: %v", err)
+	}
+	wrong := append([]bool(nil), l.Key...)
+	wrong[0] = !wrong[0]
+	ok, err := l.VerifyKeyWith(ctx, c, wrong, opt)
+	if err != nil {
+		t.Fatalf("flipped key: %v", err)
+	}
+	if ok {
+		t.Fatal("flipped key verified as correct")
+	}
+}
