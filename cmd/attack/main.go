@@ -216,7 +216,6 @@ func main() {
 	aopt.Trace = tracer
 	aopt.Simp = sopt
 	aopt.DIPBatch = solver.DIPBatch
-	aopt.Cache = cache
 
 	// report prints the outcome and returns false when no key came back —
 	// the caller exits non-zero so sweep scripts can branch on it.

@@ -170,7 +170,6 @@ func main() {
 		aopt.Trace = tracer
 		aopt.Simp = sopt
 		aopt.DIPBatch = solver.DIPBatch
-		aopt.Cache = cache
 		a, _ := obfuslock.AttackNamed("sat")
 		r := a.Run(ctx, res.Locked, obfuslock.NewOracle(c), aopt)
 		rsp.End(obfuslock.TraceBool("key_found", r.Key != nil),

@@ -1,13 +1,11 @@
 package attacks
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/sat"
 )
 
@@ -101,24 +99,6 @@ func (s *DIPSub) Drain(f func(x, y []bool)) int {
 	return delivered
 }
 
-// miterImage is the memoized form of a constructed attack miter: a
-// replayable solver snapshot plus the interface literals the loop needs.
-// All fields are exported so the value survives the memo disk spill.
-type miterImage struct {
-	Img *sat.Image `json:"img"`
-	X   []sat.Lit  `json:"x"`
-	K1  []sat.Lit  `json:"k1"`
-	K2  []sat.Lit  `json:"k2"`
-	Act sat.Lit    `json:"act"`
-}
-
-// valid checks a (possibly disk-decoded) image against the circuit the
-// attack is actually running on; anything inconsistent is rebuilt.
-func (m *miterImage) valid(l *locking.Locked) bool {
-	return m != nil && m.Img.Valid() &&
-		len(m.X) == l.NumInputs && len(m.K1) == l.KeyBits && len(m.K2) == l.KeyBits
-}
-
 // buildMiter constructs the two-copy difference miter: both copies of
 // the locked circuit share the input literals x, keep independent key
 // literals k1/k2, and the output XORs are OR-ed into a difference signal
@@ -152,35 +132,6 @@ func buildMiter(l *locking.Locked) (s *sat.Solver, x, k1, k2 []sat.Lit, act sat.
 	s.FreezeLit(act)
 	s.AddClause(diff, act.Not())
 	return s, x, k1, k2, act
-}
-
-// miterKey is the memo key of a locked circuit's attack miter. The
-// fingerprint is renumbering-invariant, so isomorphic circuits share an
-// entry: the replayed search is bit-identical for the graph the image
-// was built from, and sound (same function, same interface positions)
-// for any fingerprint-equal graph — see DESIGN.md for the one nuance
-// this implies for cross-numbering search identity.
-func miterKey(l *locking.Locked) string {
-	return fmt.Sprintf("attack.miter/%s/m%d/k%d", l.Enc.Fingerprint(), l.NumInputs, l.KeyBits)
-}
-
-// cachedMiter returns a ready miter solver, replaying a memoized image
-// when the cache holds one and building (and memoizing) it otherwise.
-// With a nil cache it builds directly, image-free.
-func cachedMiter(cache *memo.Cache, l *locking.Locked) (s *sat.Solver, x, k1, k2 []sat.Lit, act sat.Lit) {
-	if cache == nil {
-		return buildMiter(l)
-	}
-	mi, err := memo.Do(cache, miterKey(l), func() (*miterImage, error) {
-		ms, mx, mk1, mk2, mact := buildMiter(l)
-		return &miterImage{Img: ms.Export(), X: mx, K1: mk1, K2: mk2, Act: mact}, nil
-	})
-	if err == nil && mi.valid(l) {
-		if rs := sat.NewFromImage(mi.Img); rs != nil {
-			return rs, mi.X, mi.K1, mi.K2, mi.Act
-		}
-	}
-	return buildMiter(l)
 }
 
 // blockDIP permanently excludes one input pattern from DIP enumeration.

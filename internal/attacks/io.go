@@ -8,7 +8,6 @@ import (
 	"obfuslock/internal/cnf"
 	"obfuslock/internal/exec"
 	"obfuslock/internal/locking"
-	"obfuslock/internal/memo"
 	"obfuslock/internal/obs"
 	"obfuslock/internal/sat"
 	"obfuslock/internal/simp"
@@ -47,11 +46,6 @@ type IOOptions struct {
 	// with inprocessing every 16 DIPs; simp.Off() disables; set
 	// InprocessEvery < 0 to preprocess once and never inprocess).
 	Simp simp.Options
-	// Cache, when non-nil, memoizes miter construction as a replayable
-	// solver image keyed on the locked circuit's fingerprint: repeated
-	// attacks on the same circuit skip encoding and go straight to the
-	// DIP loop, with bit-identical search behavior.
-	Cache *memo.Cache
 	// Queue, when non-nil, shares answered I/O pairs with concurrent
 	// attacks on the same locked circuit (see DIPQueue). Drained pairs
 	// add constraints but never count as this attack's iterations or
@@ -171,7 +165,7 @@ const (
 )
 
 func newAttackState(ctx context.Context, l *locking.Locked, oracle *locking.Oracle, opt IOOptions, sp *obs.Span) *attackState {
-	s, xLits, k1, k2, act := cachedMiter(opt.Cache, l)
+	s, xLits, k1, k2, act := buildMiter(l)
 	tr := opt.Trace
 	st := &attackState{
 		l: l, oracle: oracle, s: s,

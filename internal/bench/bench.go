@@ -45,7 +45,7 @@ func Read(r io.Reader) (*aig.AIG, error) {
 			// A stray BENCH_*.json benchmark-record artifact (they sit next
 			// to the netlists in scripted sweeps) — name the mixup instead
 			// of reporting a baffling parse error on every line.
-			return nil, fmt.Errorf("bench: line %d: input is JSON, not a .bench netlist (a BENCH_*.json benchmark record? use ReadRecords)", lineNo)
+			return nil, fmt.Errorf("bench: line %d: input is JSON, not a .bench netlist (a BENCH_*.json benchmark record?)", lineNo)
 		}
 		lower := strings.ToLower(line)
 		switch {

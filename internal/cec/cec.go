@@ -22,12 +22,6 @@ import (
 	"obfuslock/internal/simp"
 )
 
-// simpSig renders the simp policy for cache descriptors.
-func simpSig(o simp.Options) string {
-	return fmt.Sprintf("%t.%t.%t.%t.%d",
-		o.Disable, o.NoVarElim, o.NoSubsume, o.NoVivify, o.InprocessEvery)
-}
-
 // Result reports the outcome of an equivalence check.
 type Result struct {
 	Equivalent bool
@@ -130,7 +124,7 @@ func checkCached(ctx context.Context, a, b *aig.AIG, opt Options, sp *obs.Span) 
 	}
 	key := fmt.Sprintf("cec.check|%s|%s|sw=%d|seed=%d|conf=%d|simp=%s",
 		a.Fingerprint(), b.Fingerprint(), opt.SimWords, opt.Seed,
-		opt.Budget.Conflicts, simpSig(opt.Simp))
+		opt.Budget.Conflicts, opt.Simp.CacheKey())
 	var computed *Result
 	var computeErr error
 	v, err := memo.Do(opt.Cache, key, func() (checkVerdict, error) {
@@ -315,7 +309,7 @@ func FindEquivalentNode(ctx context.Context, g *aig.AIG, specG *aig.AIG, spec ai
 	}
 	key := fmt.Sprintf("cec.find|%016x|%016x|spec=%d|sw=%d|seed=%d|conf=%d|simp=%s",
 		g.StructuralHash(), specG.StructuralHash(), spec, opt.SimWords,
-		opt.Seed, opt.Budget.Conflicts, simpSig(opt.Simp))
+		opt.Seed, opt.Budget.Conflicts, opt.Simp.CacheKey())
 	type findVerdict struct {
 		Found bool    `json:"found"`
 		Lit   aig.Lit `json:"lit,omitempty"`

@@ -95,7 +95,10 @@ type Options struct {
 	// Simp controls CNF preprocessing in every SAT-backed step of the
 	// lock (witness samplers, model counting, CEC checks). The zero
 	// value enables it; simp.Off() disables (the CLIs' -simp=false).
-	// Like tracing, it never influences randomized choices.
+	// Unlike tracing, it can change the lock: simplification changes the
+	// witnesses the samplers return, so the same seed may pick different
+	// key bits and reach a different skew with and without it. That is
+	// why the simp policy is part of every cache key.
 	Simp simp.Options
 	// Cache memoizes the lock's SAT-backed sub-queries (skewness splitting
 	// estimates, witness pools, reachability counts, CEC scans, dead-key-bit

@@ -96,9 +96,8 @@ func condProb(g *aig.AIG, target, cond aig.Lit, n int, seed int64, so simp.Optio
 		e := compute()
 		return e.P, e.OK
 	}
-	key := fmt.Sprintf("core.condprob|%016x|t=%d|c=%d|n=%d|seed=%d|simp=%t.%t.%t.%t.%d",
-		g.StructuralHash(), target, cond, n, seed,
-		so.Disable, so.NoVarElim, so.NoSubsume, so.NoVivify, so.InprocessEvery)
+	key := fmt.Sprintf("core.condprob|%016x|t=%d|c=%d|n=%d|seed=%d|simp=%s",
+		g.StructuralHash(), target, cond, n, seed, so.CacheKey())
 	e, err := memo.Do(cache, key, func() (condEstimate, error) { return compute(), nil })
 	if err != nil {
 		e = compute()
@@ -218,9 +217,8 @@ func buildLockingCircuit(work *aig.AIG, opt buildOptions) (*lockingCircuit, erro
 		}
 		ps := &sample.PoolSampler{
 			Cache: opt.Cache,
-			Key: fmt.Sprintf("core.harden|%016x|root=%d|seed=%d|simp=%t.%t.%t.%t.%d",
-				work.StructuralHash(), lc.Root, opt.Seed^0x9e3779b9,
-				opt.Simp.Disable, opt.Simp.NoVarElim, opt.Simp.NoSubsume, opt.Simp.NoVivify, opt.Simp.InprocessEvery),
+			Key: fmt.Sprintf("core.harden|%016x|root=%d|seed=%d|simp=%s",
+				work.StructuralHash(), lc.Root, opt.Seed^0x9e3779b9, opt.Simp.CacheKey()),
 			New: func() sample.Sampler {
 				cs := sample.NewCubeSampler(work, lc.Root, opt.Seed^0x9e3779b9)
 				cs.Simp = opt.Simp

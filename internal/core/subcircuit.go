@@ -259,9 +259,8 @@ func deadKeyBits(ctx context.Context, c *aig.AIG, bnd []uint32, subLF *aig.AIG, 
 	// follow exact node numbering), the cut and the preprocessing options:
 	// the conflict budget is deterministic. Only context cancellation is
 	// wall-clock-dependent, so a cancelled scan is never stored.
-	key := fmt.Sprintf("core.deadbits|%016x|%016x|bnd=%v|simp=%t.%t.%t.%t.%d",
-		c.StructuralHash(), subLF.StructuralHash(), bnd,
-		so.Disable, so.NoVarElim, so.NoSubsume, so.NoVivify, so.InprocessEvery)
+	key := fmt.Sprintf("core.deadbits|%016x|%016x|bnd=%v|simp=%s",
+		c.StructuralHash(), subLF.StructuralHash(), bnd, so.CacheKey())
 	var computed *int
 	v, err := memo.Do(cache, key, func() (int, error) {
 		n := deadKeyBitsCompute(ctx, c, bnd, subLF, so)

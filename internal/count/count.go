@@ -219,10 +219,8 @@ var errUndecided = fmt.Errorf("count: undecided result is not cacheable")
 
 // descriptor renders the options that influence an estimate.
 func (opt Options) descriptor() string {
-	s := opt.Simp
-	return fmt.Sprintf("pivot=%d|trials=%d|conf=%d|seed=%d|simp=%t.%t.%t.%t.%d",
-		opt.Pivot, opt.Trials, opt.Budget.Conflicts, opt.Seed,
-		s.Disable, s.NoVarElim, s.NoSubsume, s.NoVivify, s.InprocessEvery)
+	return fmt.Sprintf("pivot=%d|trials=%d|conf=%d|seed=%d|simp=%s",
+		opt.Pivot, opt.Trials, opt.Budget.Conflicts, opt.Seed, opt.Simp.CacheKey())
 }
 
 // cachedApprox wraps approx with the content-addressed cache: decided

@@ -197,7 +197,6 @@ func TableIEntry(ctx context.Context, b netlistgen.Benchmark, skewBits float64, 
 	aopt.Trace = budget.Trace
 	aopt.Simp = budget.Simp
 	aopt.DIPBatch = budget.DIPBatch
-	aopt.Cache = budget.Cache
 	if budget.Deterministic {
 		// Deterministic cells are bounded by iteration count only; a
 		// wall-clock cutoff would decide cells differently between runs.

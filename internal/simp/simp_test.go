@@ -2,9 +2,8 @@ package simp
 
 import "testing"
 
-// The zero value must stay the recommended everything-on configuration,
-// and the negative flags must compose: all three techniques off is as
-// disabled as Disable itself.
+// The zero value must stay the recommended everything-on configuration;
+// only Disable turns simplification off.
 func TestEnabled(t *testing.T) {
 	cases := []struct {
 		name string
@@ -15,13 +14,31 @@ func TestEnabled(t *testing.T) {
 		{"default", Default(), true},
 		{"off", Off(), false},
 		{"equivalence", Equivalence(), true},
-		{"all-techniques-off", Options{NoVarElim: true, NoSubsume: true, NoVivify: true}, false},
-		{"two-techniques-off", Options{NoVarElim: true, NoSubsume: true}, true},
+		{"no-var-elim", Options{NoVarElim: true}, true},
 	}
 	for _, c := range cases {
 		if got := c.o.Enabled(); got != c.want {
 			t.Errorf("%s: Enabled() = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// Distinct policies must render distinct cache-key fragments, or a cached
+// result computed under one policy would be served under another.
+func TestCacheKey(t *testing.T) {
+	seen := map[string]string{}
+	for name, o := range map[string]Options{
+		"default":     Default(),
+		"off":         Off(),
+		"equivalence": Equivalence(),
+		"no-inproc":   {InprocessEvery: -1},
+		"every-4":     {InprocessEvery: 4},
+	} {
+		k := o.CacheKey()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s and %s share cache key %q", name, prev, k)
+		}
+		seen[k] = name
 	}
 }
 

@@ -209,11 +209,9 @@ func Splitting(g *aig.AIG, root aig.Lit, stages []aig.Lit, opt SplittingOptions)
 // influences an estimate; it prefixes both the splitting key and the
 // per-stage witness-pool keys.
 func (opt SplittingOptions) descriptor(g *aig.AIG) string {
-	s := opt.Simp
-	return fmt.Sprintf("%016x|n=%d|mc=%d|gap=%g|seed=%d|xor=%t|simp=%t.%t.%t.%t.%d",
+	return fmt.Sprintf("%016x|n=%d|mc=%d|gap=%g|seed=%d|xor=%t|simp=%s",
 		g.StructuralHash(), opt.SamplesPerStage, opt.MCWords,
-		opt.MaxStageGap, opt.Seed, opt.UseXorSampler,
-		s.Disable, s.NoVarElim, s.NoSubsume, s.NoVivify, s.InprocessEvery)
+		opt.MaxStageGap, opt.Seed, opt.UseXorSampler, opt.Simp.CacheKey())
 }
 
 // splitting is the estimator body. sig is the precomputed descriptor for

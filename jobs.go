@@ -211,7 +211,6 @@ func runAttackJob(ctx context.Context, spec JobSpec, rt JobRuntime, budget JobBu
 	opt.Timeout = time.Duration(budget.TimeoutMS) * time.Millisecond
 	opt.Trace = rt.Trace
 	opt.Simp = rt.Simp
-	opt.Cache = rt.Cache
 	r := a.Run(ctx, locked, NewOracle(orig), opt)
 	res.Attack = spec.Attack
 	res.Key = keyString(r.Key)

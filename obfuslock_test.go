@@ -5,6 +5,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
+
+	"obfuslock/internal/netlistgen"
 )
 
 func TestFacadeRoundTrip(t *testing.T) {
@@ -133,5 +136,53 @@ func TestVerifyDecidesRLLOnB14(t *testing.T) {
 	}
 	if ok {
 		t.Fatal("flipped key verified as correct")
+	}
+}
+
+// TestPortfolioReportsWork pins the registry portfolio's result: the work
+// counters sum over every racer, and a race that ran out of budget
+// without a winner reports TimedOut rather than a plain failure.
+func TestPortfolioReportsWork(t *testing.T) {
+	ctx := context.Background()
+	portfolio, ok := AttackNamed("portfolio")
+	if !ok {
+		t.Fatal("portfolio attack missing from registry")
+	}
+	c := netlistgen.Multiplier(4)
+	l, err := LockWith(ctx, "sarlock", c, SchemeOptions{ProtWidth: 6, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := portfolio.Run(ctx, l, NewOracle(c), DefaultAttackOptions())
+	if r.Key == nil || !r.Exact || r.TimedOut {
+		t.Fatalf("6-bit SARLock not cracked: %+v", r)
+	}
+	if r.Queries <= 0 || r.Iterations <= 0 || r.SolverStats.Propagations <= 0 {
+		t.Fatalf("cracked race reports no work: queries=%d iterations=%d solver=%+v",
+			r.Queries, r.Iterations, r.SolverStats)
+	}
+
+	// A 14-bit SARLock needs thousands of DIPs: out of reach of either
+	// budget below.
+	big := netlistgen.Multiplier(8)
+	hard, err := LockWith(ctx, "sarlock", big, SchemeOptions{ProtWidth: 14, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithCancel(ctx)
+	cancel()
+	short := DefaultAttackOptions()
+	short.Timeout = time.Nanosecond
+	for name, run := range map[string]func() AttackResult{
+		"expired-context": func() AttackResult {
+			return portfolio.Run(expired, hard, NewOracle(big), DefaultAttackOptions())
+		},
+		"1ns-timeout": func() AttackResult {
+			return portfolio.Run(ctx, hard, NewOracle(big), short)
+		},
+	} {
+		if r := run(); !r.TimedOut || r.Key != nil || r.Exact {
+			t.Errorf("%s: want TimedOut and no key, got %+v", name, r)
+		}
 	}
 }

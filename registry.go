@@ -135,9 +135,25 @@ var attackRegistry = []attackEntry{
 				{Name: "appsat", Attack: "appsat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: opt},
 				{Name: "appsat-r2", Attack: "appsat", Locked: l, Oracle: locking.NewOracle(orig), Orig: orig, Opt: appopt},
 			}, opt.Trace)
-			return AttackResult{Key: r.Key, Exact: r.Key != nil, Runtime: r.Runtime}
+			return portfolioResult(r)
 		},
 	},
+}
+
+// portfolioResult folds a portfolio race into one AttackResult. The
+// work counters sum over every variant, because that is the oracle and
+// solver work the race actually spent. With no winner, the race counts
+// as timed out when any variant ran out of budget, so a budget cut-off
+// does not read as a failed attack.
+func portfolioResult(r attacks.PortfolioResult) AttackResult {
+	out := AttackResult{Key: r.Key, Exact: r.Key != nil, Runtime: r.Runtime}
+	for _, o := range r.Outcomes {
+		out.Iterations += o.Result.Iterations
+		out.Queries += o.Result.Queries
+		out.SolverStats = out.SolverStats.Add(o.Result.SolverStats)
+		out.TimedOut = out.TimedOut || (r.Key == nil && o.Result.TimedOut)
+	}
+	return out
 }
 
 // Attacks lists the registered oracle-guided attacks in registry order.
